@@ -1,7 +1,8 @@
 // Command coolanalyze re-analyses a stored run without re-simulating:
-// it reads a log file (either the raw log-string format written by the
-// log server / coolsim, or the JSONL record dump) and prints the
-// paper's measurement tables.
+// it streams a log file (either the raw log-string format written by
+// the log server / coolsim, or the JSONL record dump) record by record
+// into the analyzer, holding per-session state rather than the whole
+// log in memory, and prints the paper's measurement tables.
 //
 // Usage:
 //
@@ -56,10 +57,10 @@ func run() error {
 			fm = "log"
 		}
 	}
-	// The raw log format streams: records flow straight from the
-	// scanner into the sessionizer, so a multi-gigabyte log never
-	// materializes as a []Record. The horizon default (last record
-	// time) and the emptiness check ride along on the same pass.
+	// Both formats stream: records flow straight from the scanner into
+	// the sessionizer, so a multi-gigabyte log never materializes as a
+	// []Record. The horizon default (last record time) and the
+	// emptiness check ride along on the same pass.
 	var (
 		count int
 		maxAt sim.Time
@@ -77,11 +78,7 @@ func run() error {
 	case "log":
 		err = logsys.ScanLog(f, feed)
 	case "jsonl":
-		var recs []logsys.Record
-		recs, err = trace.ReadRecords(f)
-		for _, rec := range recs {
-			feed(rec)
-		}
+		err = trace.ScanRecords(f, feed)
 	default:
 		return fmt.Errorf("unknown format %q", fm)
 	}

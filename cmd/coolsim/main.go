@@ -158,6 +158,10 @@ func run() (err error) {
 	for _, rec := range res.Records {
 		sinkW.Log(rec)
 	}
+	if err := sinkW.Err(); err != nil {
+		logFile.Close()
+		return err
+	}
 	if err := logFile.Close(); err != nil {
 		return err
 	}

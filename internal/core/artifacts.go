@@ -42,7 +42,7 @@ func (r *Result) WriteArtifacts(dir string) error {
 		for _, rec := range r.Records {
 			sink.Log(rec)
 		}
-		return nil
+		return sink.Err()
 	}); err != nil {
 		return err
 	}

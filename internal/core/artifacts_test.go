@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"coolstream/internal/logsys"
@@ -89,5 +91,22 @@ func TestWriteArtifactsBadDir(t *testing.T) {
 	}
 	if err := res.WriteArtifacts("/dev/null/impossible"); err == nil {
 		t.Fatal("impossible directory accepted")
+	}
+}
+
+// TestWriteArtifactsReportsLogWriteError points run.log at /dev/full,
+// where every write fails with ENOSPC: WriteArtifacts must fail rather
+// than report a truncated log as written.
+func TestWriteArtifactsReportsLogWriteError(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "run.log")); err != nil {
+		t.Skip(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "run.log")); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	res := &Result{Records: []logsys.Record{{Kind: logsys.KindJoin, Peer: 1}}}
+	if err := res.WriteArtifacts(dir); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("WriteArtifacts error %v, want ENOSPC", err)
 	}
 }

@@ -70,11 +70,14 @@ func (s *MemorySink) Len() int {
 // WriterSink streams each record as one log string per line, the
 // on-disk format of the deployed log server. Each record is encoded
 // into a reused buffer with the zero-allocation appender and delivered
-// to the writer in a single Write call.
+// to the writer in a single Write call. The first write error is kept:
+// later records are dropped, and Err reports it, so a caller can tell a
+// complete log from a truncated one.
 type WriterSink struct {
 	mu  sync.Mutex
 	w   io.Writer
 	buf []byte
+	err error
 }
 
 // NewWriterSink wraps w.
@@ -84,9 +87,19 @@ func NewWriterSink(w io.Writer) *WriterSink { return &WriterSink{w: w} }
 func (s *WriterSink) Log(rec Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.err != nil {
+		return
+	}
 	s.buf = rec.AppendLogString(s.buf[:0])
 	s.buf = append(s.buf, '\n')
-	s.w.Write(s.buf)
+	_, s.err = s.w.Write(s.buf)
+}
+
+// Err returns the first error the writer returned, or nil.
+func (s *WriterSink) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // MultiSink fans records out to several sinks.

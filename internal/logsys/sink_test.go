@@ -66,6 +66,45 @@ func TestWriterSinkAndReadLog(t *testing.T) {
 	}
 }
 
+// limitWriter accepts n bytes, then fails every write, as a full disk
+// does.
+type limitWriter struct {
+	n     int
+	wrote int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *limitWriter) Write(p []byte) (int, error) {
+	if w.wrote+len(p) > w.n {
+		return 0, errDiskFull
+	}
+	w.wrote += len(p)
+	return len(p), nil
+}
+
+func TestWriterSinkKeepsFirstWriteError(t *testing.T) {
+	rec := Record{Kind: KindJoin, At: 1, Peer: 1, Session: 5, User: 1}
+	line := len(rec.LogString()) + 1
+	w := &limitWriter{n: 2*line + line/2}
+	s := NewWriterSink(w)
+	for i := 0; i < 2; i++ {
+		s.Log(rec)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("error before the writer failed: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		s.Log(rec)
+	}
+	if err := s.Err(); !errors.Is(err, errDiskFull) {
+		t.Fatalf("Err() = %v, want the writer's error", err)
+	}
+	if w.wrote != 2*line {
+		t.Fatalf("wrote %d bytes, want the %d of the two records before the failure", w.wrote, 2*line)
+	}
+}
+
 func TestReadLogSkipsBlankLines(t *testing.T) {
 	text := "\n" + Record{Kind: KindJoin, Peer: 1}.LogString() + "\n\n"
 	recs, err := ReadLog(strings.NewReader(text))

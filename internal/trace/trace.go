@@ -6,7 +6,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -17,40 +16,63 @@ import (
 	"coolstream/internal/sim"
 )
 
-// WriteRecords streams log records as JSONL.
+// WriteRecords streams log records as JSONL, one JSON object per line,
+// byte-identical to json.Encoder output. Records are encoded into one
+// reused buffer that is written out in large blocks.
 func WriteRecords(w io.Writer, recs []logsys.Record) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i, rec := range recs {
-		if err := enc.Encode(rec); err != nil {
+	const flushAt = 64 * 1024
+	buf := make([]byte, 0, flushAt+1024)
+	for i := range recs {
+		var err error
+		if buf, err = appendRecord(buf, &recs[i]); err != nil {
 			return fmt.Errorf("trace: record %d: %w", i, err)
 		}
+		if len(buf) >= flushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
 	}
-	return bw.Flush()
+	if len(buf) > 0 {
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// ReadRecords reads a JSONL record stream.
+// recordChunk is how many records ReadRecords collects per chunk
+// before starting the next one.
+const recordChunk = 4096
+
+// ReadRecords reads a whole JSONL record stream. It collects into
+// fixed-size chunks and copies them once into an exactly sized slice,
+// so a large stream never pays for append regrowth. Prefer ScanRecords
+// when the consumer can stream.
 func ReadRecords(r io.Reader) ([]logsys.Record, error) {
-	var out []logsys.Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
+	var full [][]logsys.Record
+	cur := make([]logsys.Record, 0, recordChunk)
+	err := ScanRecords(r, func(rec logsys.Record) error {
+		if len(cur) == cap(cur) {
+			full = append(full, cur)
+			cur = make([]logsys.Record, 0, recordChunk)
 		}
-		var rec logsys.Record
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
+		cur = append(cur, rec)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	n := len(full)*recordChunk + len(cur)
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]logsys.Record, 0, n)
+	for _, c := range full {
+		out = append(out, c...)
+	}
+	return append(out, cur...), nil
 }
 
 // WriteSeries writes a metric series as two-column CSV.
