@@ -5,7 +5,10 @@
 // frames) — and folds both measurements plus their ratios into
 // BENCH_netplane.json. The acceptance bars for this harness are a ≥2×
 // reduction in write syscalls per delivered block and a ≥5× reduction
-// in BM signalling bytes at steady state.
+// in BM signalling bytes at steady state. Each plane's report also
+// carries the writer-queue layer: the share of writes that waited out
+// the FlushDelay spacing (lingers_per_write) and their mean wait
+// (mean_linger_ms).
 package main
 
 import (
@@ -56,16 +59,17 @@ func netplaneBench(dur time.Duration, peers int, jsonPath string) error {
 	}
 
 	fmt.Printf("# netplane: %d peers, %v window per plane\n", peers, dur)
-	fmt.Printf("%-10s %10s %12s %12s %14s %14s %8s\n",
-		"plane", "delivered", "writes", "writes/blk", "bytes/blk", "bmB/peer/s", "min_ci")
+	fmt.Printf("%-10s %10s %12s %12s %14s %14s %12s %10s %8s\n",
+		"plane", "delivered", "writes", "writes/blk", "bytes/blk", "bmB/peer/s",
+		"linger/wr", "linger_ms", "min_ci")
 	for _, r := range []netsat.Report{legacy, batched} {
 		name := "batched"
 		if r.Legacy {
 			name = "legacy"
 		}
-		fmt.Printf("%-10s %10d %12d %12.3f %14.1f %14.0f %8.3f\n",
+		fmt.Printf("%-10s %10d %12d %12.3f %14.1f %14.0f %12.3f %10.3f %8.3f\n",
 			name, r.Delivered, r.WriteCalls, r.WritesPerBlock, r.BytesPerBlock,
-			r.BMBytesPerPeerSec, r.MinContinuity)
+			r.BMBytesPerPeerSec, r.LingersPerWrite, r.MeanLingerMs, r.MinContinuity)
 	}
 	fmt.Printf("# ratios (legacy/batched): writes/blk %.2fx  bytes/blk %.2fx  bm bytes %.2fx\n",
 		res.WritesPerBlockRatio, res.BytesPerBlockRatio, res.BMBytesRatio)

@@ -369,7 +369,9 @@ func printSaturate(legacy, batched netsat.Report) {
 	row("BM bytes / peer / s", legacy.BMBytesPerPeerSec, batched.BMBytesPerPeerSec, "%.0f")
 	fmt.Printf("%-22s %14.3f %14.3f\n", "min continuity", legacy.MinContinuity, batched.MinContinuity)
 	fmt.Printf("%-22s %14.3f %14.3f\n", "mean continuity", legacy.MeanContinuity, batched.MeanContinuity)
-	fmt.Printf("%-22s %14s %14d\n\n", "fan-out shared frames", "-", batched.FanShared)
+	fmt.Printf("%-22s %14s %14d\n", "fan-out shared frames", "-", batched.FanShared)
+	fmt.Printf("%-22s %14s %14.3f\n", "lingers / write", "-", batched.LingersPerWrite)
+	fmt.Printf("%-22s %14s %14.3f\n\n", "mean linger (ms)", "-", batched.MeanLingerMs)
 }
 
 // newBootClient builds a tracker client from the -bootstrap URL: the

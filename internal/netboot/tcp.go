@@ -476,28 +476,72 @@ func (c *TCPClient) tryOnceLocked(encode func([]byte) []byte, decode func(*scann
 		c.dropConnLocked()
 		return fmt.Errorf("netboot: read tracker frame: %w", err)
 	}
-	sc := scanner{b: body}
-	st := sc.u8("status")
-	if st != stOK {
-		msg := sc.str("error message")
-		var retryMs uint32
-		if st == stUnavailable {
-			retryMs = sc.u32("retry-after")
-		}
-		if err := sc.done(); err != nil {
+	if err := decodeResp(body, decode); err != nil {
+		var ue *UnavailableError
+		var te *terminalError
+		if !errors.As(err, &ue) && !errors.As(err, &te) {
+			// A malformed answer leaves the stream in an unknown state.
 			c.dropConnLocked()
-			return err
 		}
-		if st == stUnavailable {
-			return &UnavailableError{Msg: msg, RetryAfter: time.Duration(retryMs) * time.Millisecond}
-		}
-		return &terminalError{err: respError(st, msg)}
-	}
-	if err := decode(&sc); err != nil {
-		c.dropConnLocked()
 		return err
 	}
 	return nil
+}
+
+// decodeResp decodes one response body: an OK body's remainder goes to
+// decode; an error body becomes *UnavailableError (retryable) or
+// *terminalError. Any other error means the body was malformed.
+func decodeResp(body []byte, decode func(*scanner) error) error {
+	sc := scanner{b: body}
+	st := sc.u8("status")
+	if st == stOK {
+		return decode(&sc)
+	}
+	msg := sc.str("error message")
+	var retryMs uint32
+	if st == stUnavailable {
+		retryMs = sc.u32("retry-after")
+	}
+	if err := sc.done(); err != nil {
+		return err
+	}
+	if st == stUnavailable {
+		return &UnavailableError{Msg: msg, RetryAfter: time.Duration(retryMs) * time.Millisecond}
+	}
+	return &terminalError{err: respError(st, msg)}
+}
+
+// decodeLeaseResp decodes an OK register response body.
+func decodeLeaseResp(sc *scanner) (time.Duration, error) {
+	ms := sc.u32("lease")
+	if err := sc.done(); err != nil {
+		return 0, err
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
+// decodeCandidatesResp decodes an OK candidates response body.
+func decodeCandidatesResp(sc *scanner) ([]Entry, error) {
+	cnt := int(sc.u16("entry count"))
+	// Each entry takes at least 6 bytes (id, address length): size the
+	// slice by what the frame can hold, not by the claimed count, so a
+	// short hostile frame cannot force a large allocation.
+	out := make([]Entry, 0, min(cnt, (len(sc.b)-sc.off)/6))
+	for i := 0; i < cnt; i++ {
+		id := sc.i32("entry id")
+		addr := sc.str("entry addr")
+		if sc.err != nil {
+			break
+		}
+		out = append(out, Entry{ID: id, Addr: addr})
+	}
+	return out, sc.done()
+}
+
+// decodeCountResp decodes an OK count response body.
+func decodeCountResp(sc *scanner) (int, error) {
+	n := int(sc.u32("count"))
+	return n, sc.done()
 }
 
 // RegisterLease announces (or renews) id's listen address and returns
@@ -506,13 +550,9 @@ func (c *TCPClient) RegisterLease(id int32, addr string) (time.Duration, error) 
 	var lease time.Duration
 	err := c.roundTrip(
 		func(dst []byte) []byte { return appendRegisterReq(dst, id, addr) },
-		func(sc *scanner) error {
-			ms := sc.u32("lease")
-			if err := sc.done(); err != nil {
-				return err
-			}
-			lease = time.Duration(ms) * time.Millisecond
-			return nil
+		func(sc *scanner) (err error) {
+			lease, err = decodeLeaseResp(sc)
+			return err
 		})
 	return lease, err
 }
@@ -541,15 +581,9 @@ func (c *TCPClient) Candidates(n int, exclude int32) ([]Entry, error) {
 	var out []Entry
 	err := c.roundTrip(
 		func(dst []byte) []byte { return appendCandidatesReq(dst, n, exclude) },
-		func(sc *scanner) error {
-			cnt := int(sc.u16("entry count"))
-			out = make([]Entry, 0, cnt)
-			for i := 0; i < cnt; i++ {
-				id := sc.i32("entry id")
-				addr := sc.str("entry addr")
-				out = append(out, Entry{ID: id, Addr: addr})
-			}
-			return sc.done()
+		func(sc *scanner) (err error) {
+			out, err = decodeCandidatesResp(sc)
+			return err
 		})
 	if err != nil {
 		return nil, err
@@ -562,9 +596,9 @@ func (c *TCPClient) Count() (int, error) {
 	var n int
 	err := c.roundTrip(
 		func(dst []byte) []byte { return appendCountReq(dst) },
-		func(sc *scanner) error {
-			n = int(sc.u32("count"))
-			return sc.done()
+		func(sc *scanner) (err error) {
+			n, err = decodeCountResp(sc)
+			return err
 		})
 	return n, err
 }

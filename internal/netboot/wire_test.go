@@ -56,20 +56,16 @@ func TestWireRequestRoundTrips(t *testing.T) {
 }
 
 // TestWireCandidatesRespRoundTrip pins the candidates response
-// encoding through the client-side scanner.
+// encoding through the client-side decoder.
 func TestWireCandidatesRespRoundTrip(t *testing.T) {
 	entries := []Entry{{ID: 1, Addr: "a:1"}, {ID: -9, Addr: "host.example:65535"}, {ID: 3, Addr: ""}}
 	body := appendCandidatesResp(nil, entries)
-	sc := scanner{b: body}
-	if st := sc.u8("status"); st != stOK {
-		t.Fatalf("status %d", st)
-	}
-	n := int(sc.u16("count"))
-	got := make([]Entry, 0, n)
-	for i := 0; i < n; i++ {
-		got = append(got, Entry{ID: sc.i32("id"), Addr: sc.str("addr")})
-	}
-	if err := sc.done(); err != nil {
+	var got []Entry
+	err := decodeResp(body, func(sc *scanner) (err error) {
+		got, err = decodeCandidatesResp(sc)
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(entries) {

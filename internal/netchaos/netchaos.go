@@ -165,7 +165,7 @@ func Run(cfg Config) (Report, error) {
 	nodeCfg := func(id int32, uploadBps float64) netpeer.Config {
 		return netpeer.Config{
 			ID: id, Layout: cfg.Layout, UploadBps: uploadBps,
-			BMPeriod: 100 * time.Millisecond,
+			BMPeriod:     100 * time.Millisecond,
 			BufferBlocks: 600, ReadyBlocks: 5,
 			WriteTimeout: 2 * time.Second,
 		}

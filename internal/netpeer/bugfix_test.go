@@ -302,3 +302,29 @@ func TestDialerFaultInjection(t *testing.T) {
 		t.Fatal("refused dial registered a partnership")
 	}
 }
+
+// TestSourceCatchesUpAfterStall holds the source's lock across a second
+// of emission ticks: once it runs again the source must emit every
+// block it missed instead of staying behind the wall clock, which
+// every peer's playback deadline is anchored to.
+func TestSourceCatchesUpAfterStall(t *testing.T) {
+	n := mustNode(t, testConfig(1, 0))
+	bps := testLayout.BlocksPerSecond()
+	start := time.Now()
+	if err := n.StartSource(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	n.mu.Lock()
+	time.Sleep(time.Second)
+	n.mu.Unlock()
+	var behind float64
+	waitFor(t, 5*time.Second, func() bool {
+		emitted := 0.0
+		for j := 0; j < testLayout.K; j++ {
+			emitted += float64(n.Latest(j) + 1)
+		}
+		behind = time.Since(start).Seconds() - emitted/bps
+		return behind < 0.25
+	}, "source stayed behind the wall clock after a stall")
+}

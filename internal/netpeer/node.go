@@ -39,9 +39,12 @@ type Config struct {
 	LegacyPlane bool
 	// FlushBytes caps one coalesced write (default 64 KiB).
 	FlushBytes int
-	// FlushDelay is how long the writer lingers for more frames when the
-	// queue holds less than FlushBytes (default 2ms; negative disables
-	// lingering, making every flush immediate).
+	// FlushDelay is the minimum spacing between writes on one partner
+	// conn (default 2ms). Frames reaching a conn idle that long go out
+	// at once; frames arriving sooner wait out the rest of the spacing
+	// and leave in one coalesced write. A queue of FlushBytes or more
+	// never waits; negative disables spacing, making every flush
+	// immediate.
 	FlushDelay time.Duration
 	// QueueBytes bounds each partner's outbound queue; overflow tears
 	// the partnership down as a slow partner (default 256 KiB).
@@ -935,6 +938,7 @@ func (n *Node) StartSource() error {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
+		start := time.Now()
 		ticker := time.NewTicker(interval)
 		defer ticker.Stop()
 		var g int64
@@ -944,14 +948,19 @@ func (n *Node) StartSource() error {
 				n.mu.Unlock()
 				return
 			}
-			j := n.cfg.Layout.SubStream(g)
-			seq := n.cfg.Layout.Seq(g)
-			if combined, err := n.sb.Receive(j, seq); err == nil && combined > 0 {
-				n.cb.Append(combined)
+			// Emit every block due by now, not one per tick: the ticker
+			// drops ticks whenever this goroutine runs late, and a
+			// source that fell behind the wall clock would make every
+			// later block miss its playback deadline at every peer.
+			for due := int64(time.Since(start) / interval); g <= due; g++ {
+				j := n.cfg.Layout.SubStream(g)
+				seq := n.cfg.Layout.Seq(g)
+				if combined, err := n.sb.Receive(j, seq); err == nil && combined > 0 {
+					n.cb.Append(combined)
+				}
 			}
 			n.cond.Broadcast()
 			n.mu.Unlock()
-			g++
 			<-ticker.C
 		}
 	}()

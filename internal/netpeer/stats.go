@@ -20,6 +20,10 @@ type netStats struct {
 	fanEncodes     atomic.Uint64
 	fanShared      atomic.Uint64
 	blocksReceived atomic.Uint64
+	// flushLingers/flushLingerNanos account the writer's spacing waits
+	// (see writerLoop).
+	flushLingers     atomic.Uint64
+	flushLingerNanos atomic.Uint64
 }
 
 // countFrame accounts one frame handed to the data plane (enqueued on a
@@ -61,20 +65,28 @@ type NetStats struct {
 	FanShared  uint64
 	// BlocksReceived counts pushes landed in the sync buffer.
 	BlocksReceived uint64
+	// FlushLingers counts writes that waited out the FlushDelay spacing
+	// before going to the wire, and FlushLingerNanos the total time they
+	// waited: near zero on a lightly loaded plane, most writes at
+	// saturation.
+	FlushLingers     uint64
+	FlushLingerNanos uint64
 }
 
 // Stats returns a snapshot of the node's data-plane counters.
 func (n *Node) Stats() NetStats {
 	return NetStats{
-		FramesSent:     n.stats.framesSent.Load(),
-		WriteCalls:     n.stats.writeCalls.Load(),
-		BytesSent:      n.stats.bytesSent.Load(),
-		BMFrames:       n.stats.bmFrames.Load(),
-		BMBytes:        n.stats.bmBytes.Load(),
-		BlockFrames:    n.stats.blockFrames.Load(),
-		BlockBytes:     n.stats.blockBytes.Load(),
-		FanEncodes:     n.stats.fanEncodes.Load(),
-		FanShared:      n.stats.fanShared.Load(),
-		BlocksReceived: n.stats.blocksReceived.Load(),
+		FramesSent:       n.stats.framesSent.Load(),
+		WriteCalls:       n.stats.writeCalls.Load(),
+		BytesSent:        n.stats.bytesSent.Load(),
+		BMFrames:         n.stats.bmFrames.Load(),
+		BMBytes:          n.stats.bmBytes.Load(),
+		BlockFrames:      n.stats.blockFrames.Load(),
+		BlockBytes:       n.stats.blockBytes.Load(),
+		FanEncodes:       n.stats.fanEncodes.Load(),
+		FanShared:        n.stats.fanShared.Load(),
+		BlocksReceived:   n.stats.blocksReceived.Load(),
+		FlushLingers:     n.stats.flushLingers.Load(),
+		FlushLingerNanos: n.stats.flushLingerNanos.Load(),
 	}
 }

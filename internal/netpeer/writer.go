@@ -12,11 +12,17 @@ import (
 // goroutine draining a bounded outbound queue of pre-encoded frames.
 // Senders (BM loop, pushers, control handlers) enqueue and return
 // immediately; the writer coalesces whatever has accumulated into a
-// single Write call, bounded by a flush budget: at most FlushBytes per
-// write, lingering at most FlushDelay for more frames to arrive. Under
-// load the linger never triggers (the queue is never empty), so
-// throughput costs one syscall per ~FlushBytes instead of one per
-// frame; when idle a frame reaches the wire within FlushDelay.
+// single Write call of at most FlushBytes.
+//
+// Writes on one conn are spaced at least FlushDelay apart. A writer
+// that wakes to frames on a conn idle for FlushDelay or longer writes
+// them at once, so a lightly loaded conn adds no linger to a hop; one
+// that wakes sooner sleeps only what remains of the spacing since its
+// last write, then flushes everything queued. A saturated conn thus
+// writes once per FlushDelay (plus the write itself) and every write
+// carries all that arrived meanwhile, so throughput costs one syscall
+// per spacing interval instead of one per frame. A queue already
+// holding FlushBytes goes out without waiting.
 //
 // Backpressure contract: the queue is bounded by QueueBytes. A partner
 // that cannot drain its own traffic fills the queue, and the overflow
@@ -151,6 +157,9 @@ func (cn *conn) writerLoop() {
 	flushBytes := n.cfg.FlushBytes
 	flushDelay := n.cfg.FlushDelay
 	flush := make([]byte, 0, flushBytes)
+	// lastWrite is when the previous Write returned; the zero time makes
+	// the first write on a conn immediate.
+	var lastWrite time.Time
 	for {
 		cn.qmu.Lock()
 		for len(cn.q) == 0 && cn.qErr == nil {
@@ -162,15 +171,21 @@ func (cn *conn) writerLoop() {
 			return
 		}
 		if flushDelay > 0 && cn.qBytes < flushBytes {
-			// Linger briefly so a burst in flight coalesces into this
-			// write instead of the next one.
-			cn.qmu.Unlock()
-			time.Sleep(flushDelay)
-			cn.qmu.Lock()
-			if cn.qErr != nil {
-				cn.dropQueueLocked()
+			now := time.Now()
+			if wait := flushDelay - now.Sub(lastWrite); wait > 0 {
+				// Too soon after the last write: hold the frames for
+				// the rest of the spacing so a burst in flight
+				// coalesces into this write instead of the next one.
 				cn.qmu.Unlock()
-				return
+				time.Sleep(wait)
+				n.stats.flushLingers.Add(1)
+				n.stats.flushLingerNanos.Add(uint64(time.Since(now)))
+				cn.qmu.Lock()
+				if cn.qErr != nil {
+					cn.dropQueueLocked()
+					cn.qmu.Unlock()
+					return
+				}
 			}
 		}
 		flush = flush[:0]
@@ -210,6 +225,7 @@ func (cn *conn) writerLoop() {
 			cn.c.Close()
 			return
 		}
+		lastWrite = time.Now()
 		n.stats.writeCalls.Add(1)
 		n.stats.bytesSent.Add(uint64(len(flush)))
 	}

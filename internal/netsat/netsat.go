@@ -32,9 +32,9 @@ type Config struct {
 	// saturation-grade signalling, fast enough that only a few lanes
 	// change per tick, which is where deltas pay off).
 	BMPeriod time.Duration
-	// FlushDelay overrides the writer linger (default 4ms: at 800
-	// blocks/s a flush gathers ~3 block frames plus whatever control
-	// traffic accumulated).
+	// FlushDelay overrides the writers' minimum write spacing (default
+	// 4ms: at 800 blocks/s a saturated conn's flush gathers ~3 block
+	// frames plus whatever control traffic accumulated).
 	FlushDelay time.Duration
 	// Duration is the measured steady-state window (default 3s).
 	Duration time.Duration
@@ -88,10 +88,18 @@ type Report struct {
 	BlockBytes  uint64 `json:"block_bytes"`
 	FanEncodes  uint64 `json:"fan_encodes"`
 	FanShared   uint64 `json:"fan_shared"`
+	// FlushLingers/FlushLingerNanos are the writers' spacing waits (see
+	// netpeer.NetStats); zero on the legacy plane, which has no writer.
+	FlushLingers     uint64 `json:"flush_lingers"`
+	FlushLingerNanos uint64 `json:"flush_linger_ns"`
 
 	WritesPerBlock    float64 `json:"writes_per_block"`
 	BytesPerBlock     float64 `json:"bytes_per_block"`
 	BMBytesPerPeerSec float64 `json:"bm_bytes_per_peer_sec"`
+	// LingersPerWrite is the share of writes that waited out the
+	// spacing; MeanLingerMs is their mean wait.
+	LingersPerWrite float64 `json:"lingers_per_write"`
+	MeanLingerMs    float64 `json:"mean_linger_ms"`
 
 	MeanContinuity float64 `json:"mean_continuity"`
 	MinContinuity  float64 `json:"min_continuity"`
@@ -111,6 +119,8 @@ func sumStats(nodes []*netpeer.Node) netpeer.NetStats {
 		t.FanEncodes += s.FanEncodes
 		t.FanShared += s.FanShared
 		t.BlocksReceived += s.BlocksReceived
+		t.FlushLingers += s.FlushLingers
+		t.FlushLingerNanos += s.FlushLingerNanos
 	}
 	return t
 }
@@ -201,6 +211,15 @@ func Run(cfg Config) (Report, error) {
 		BlockBytes:  after.BlockBytes - before.BlockBytes,
 		FanEncodes:  after.FanEncodes - before.FanEncodes,
 		FanShared:   after.FanShared - before.FanShared,
+
+		FlushLingers:     after.FlushLingers - before.FlushLingers,
+		FlushLingerNanos: after.FlushLingerNanos - before.FlushLingerNanos,
+	}
+	if rep.WriteCalls > 0 {
+		rep.LingersPerWrite = float64(rep.FlushLingers) / float64(rep.WriteCalls)
+	}
+	if rep.FlushLingers > 0 {
+		rep.MeanLingerMs = float64(rep.FlushLingerNanos) / float64(rep.FlushLingers) / 1e6
 	}
 	if rep.Delivered > 0 {
 		rep.WritesPerBlock = float64(rep.WriteCalls) / float64(rep.Delivered)

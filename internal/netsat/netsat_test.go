@@ -41,6 +41,12 @@ func TestRunBothPlanes(t *testing.T) {
 		if !legacy && rep.FanEncodes == 0 {
 			t.Fatalf("batched plane never used the fan-out encoder: %+v", rep)
 		}
+		if legacy && rep.FlushLingers > 0 {
+			t.Fatalf("legacy plane has no writer but lingered: %+v", rep)
+		}
+		if rep.FlushLingers > rep.WriteCalls || rep.LingersPerWrite > 1 {
+			t.Fatalf("legacy=%v: more lingers than writes: %+v", legacy, rep)
+		}
 	}
 }
 

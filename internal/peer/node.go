@@ -149,8 +149,8 @@ type Node struct {
 	readyLogged  bool
 
 	// Report-interval accumulators.
-	upBytes   float64
-	downBytes float64
+	upBytes       float64
+	downBytes     float64
 	lastReportAt  sim.Time
 	CumUploadB    float64
 	CumDownloadB  float64

@@ -63,7 +63,7 @@ type World struct {
 	// shardVisitFn is the bound parallel stage of controlSharded;
 	// drainTargetFn/drainSourceFn are the bound parallel drain passes;
 	// tickNow stages the visit timestamp for them.
-	shardVisitFn func(lo, hi int)
+	shardVisitFn  func(lo, hi int)
 	drainTargetFn func(lo, hi int)
 	drainSourceFn func(lo, hi int)
 	tickNow       sim.Time
@@ -160,10 +160,10 @@ type World struct {
 	// labelPhases wraps every phase worker in a pprof phase label so
 	// CPU profiles attribute samples by tick phase (LabelPhases).
 	labelPhases bool
-	tickIDs    []int
-	controlIDs []int
-	tickDt     float64
-	tickLive   float64
+	tickIDs     []int
+	controlIDs  []int
+	tickDt      float64
+	tickLive    float64
 	// tickLoss is this tick's burst-loss fraction, staged once per tick
 	// from the fault schedule so the parallel advance shards read a
 	// plain float. Zero whenever faults are off or no window is active.
@@ -177,7 +177,6 @@ type World struct {
 	advFlagShards [][]int32
 	tickAdaptCut  sim.Time
 	tickTsF       float64
-
 
 	// StallContinuity/StallAbandonProb model frustrated users: a Ready
 	// node whose report-interval continuity falls below the threshold
